@@ -12,7 +12,10 @@ skip past a cycle in which the scheduler could have acted shows up here
 as a counter diff.
 
 Also reports the per-core wall-clock ratio (event kernel vs ticked) so
-CI logs show how much the skip loop is actually buying on each paradigm.
+CI logs show how much the skip loop is actually buying on each paradigm,
+next to the host-independent work count behind it: the cycles the event
+kernel's loop visits per 1k retired instructions (counted on a separate,
+untimed run by wrapping the stage methods; see repro.obs.workcount).
 
 Exits non-zero with a per-core, per-counter diagnostic on any divergence.
 
@@ -32,6 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.harness.artifacts import ArtifactCache
 from repro.harness.context import ExperimentContext
+from repro.obs.workcount import StageVisits
 from repro.sim.registry import core_registry
 from repro.sim.run import build_core
 
@@ -77,6 +81,8 @@ def main() -> None:
     for kind, (config, braided) in CORES.items():
         event_seconds = 0.0
         ticked_seconds = 0.0
+        visited = 0
+        retired = 0
         for name in QUICK:
             workload = ctx.workload(name, braided=braided)
 
@@ -91,6 +97,11 @@ def main() -> None:
             started = time.perf_counter()
             slow = fingerprint(core.run())
             ticked_seconds += time.perf_counter() - started
+
+            core = build_core(workload, config)
+            visits = StageVisits(core)
+            retired += core.run().instructions
+            visited += visits.visited
 
             if fast != slow:
                 divergences += 1
@@ -111,7 +122,9 @@ def main() -> None:
         print(
             f"wakeup_smoke: {kind}: bit-identical across {len(QUICK)} "
             f"benchmarks; event kernel {ratio:.2f}x vs ticked "
-            f"({event_seconds:.2f}s vs {ticked_seconds:.2f}s)"
+            f"({event_seconds:.2f}s vs {ticked_seconds:.2f}s), "
+            f"{1000 * visited / retired:.0f} visited cycles per 1k "
+            f"retired instructions"
         )
     if divergences:
         fail(f"{divergences} run(s) diverged between kernels")

@@ -13,8 +13,9 @@ entries per window while most of the window is a cheap FIFO RAM.
 
 The entire paradigm is this one file: the timing model composes the
 shared kernel helpers (:meth:`~repro.sim.core.TimingCore.issue_skipahead`
-with a global budget, :meth:`~repro.sim.core.TimingCore.head_issue_horizon`
-over the examined entries, the shared FIFO invariants), the config
+with a global budget, the window due table behind
+:meth:`~repro.sim.core.TimingCore.window_due` so a window is examined only
+when woken, the shared FIFO invariants), the config
 factory derives from the conventional machine, the fault injector and
 complexity/energy declarations ride the class, and the registry entry at
 the bottom makes validation, fault campaigns, observability, and both
@@ -90,12 +91,19 @@ class BlockOoOCore(TimingCore):
     def wakeup_energy_entries(cls, config: MachineConfig) -> int:
         return config.clusters * config.beu_window
 
+    # O(woken) issue: one window due table entry per block window (see
+    # TimingCore)
+    on_ready = TimingCore.wake_window
+    _wake_store_waiters = TimingCore._wake_window_waiters
+    issue_horizon = TimingCore.window_issue_horizon
+
     def __init__(self, workload: PreparedWorkload, config: MachineConfig) -> None:
         super().__init__(workload, config)
         self.fus = FunctionalUnitPool(config.functional_units)
         self._windows: List[deque] = [
             deque() for _ in range(config.clusters)
         ]
+        self._issue_due = [0] * config.clusters
         #: window receiving the currently open block (-1 between blocks)
         self._open_window = -1
         self._block_len = 0
@@ -142,6 +150,7 @@ class BlockOoOCore(TimingCore):
         # the next sampled window starts a fresh block on a clean core.
         for window in self._windows:
             window.clear()
+        self._issue_due = [0] * len(self._windows)
         self._open_window = -1
         self._block_len = 0
 
@@ -167,33 +176,26 @@ class BlockOoOCore(TimingCore):
         yield from self.occupancy_sum_invariant("block window", total)
 
     # ------------------------------------------------------------------ issue
-    def issue_horizon(self, cycle):
-        # Each window examines its first ``beu_window`` entries; the
-        # shared head-scan certification applies to exactly those.
-        cap = self.config.beu_window
-        return self.head_issue_horizon(
-            cycle,
-            (
-                window[i]
-                for window in self._windows
-                for i in range(min(len(window), cap))
-            ),
-        )
-
     def issue_stage(self, cycle: int) -> None:
-        budget = self.config.issue_width
+        # Each window examines its first ``beu_window`` entries, oldest
+        # window first, under the global issue budget.
+        budget = self._issue_width
         cap = self.config.beu_window
         fus = self.fus
+        due = self._issue_due
         issue_skipahead = self.issue_skipahead
-        for window in self._windows:
-            if budget == 0:
-                break
-            if not window:
+        window_due = self.window_due
+        for index, window in enumerate(self._windows):
+            if due[index] > cycle:
                 continue
-            budget -= issue_skipahead(
-                window, cycle, min(cap, len(window)), fus,
-                max_issues=budget,
-            )
+            if budget == 0:
+                break  # unvisited windows stay due
+            if window:
+                budget -= issue_skipahead(
+                    window, cycle, min(cap, len(window)), fus,
+                    max_issues=budget,
+                )
+            due[index] = window_due(window, cap, cycle)
 
 
 register_core(CoreDescriptor(

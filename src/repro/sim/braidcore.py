@@ -18,9 +18,10 @@ exactly as in the paper:
 The issue mechanics compose the shared kernel helpers: strict windows use
 :meth:`~repro.sim.core.TimingCore.issue_in_order`, the default
 windowed-out-of-order mode uses
-:meth:`~repro.sim.core.TimingCore.issue_skipahead`, and the horizon is
-:meth:`~repro.sim.core.TimingCore.head_issue_horizon` over the examined
-window entries.
+:meth:`~repro.sim.core.TimingCore.issue_skipahead`, and like the hardware
+(no wakeup CAM) a BEU window is examined only when the shared window due
+table (:meth:`~repro.sim.core.TimingCore.window_due`) says a wake may have
+made one of its entries eligible.
 """
 
 from __future__ import annotations
@@ -107,6 +108,11 @@ class BraidCore(TimingCore):
     def wakeup_energy_entries(cls, config: MachineConfig) -> int:
         return config.beu_window  # only the BEU window entries are checked
 
+    # O(woken) issue: one window due table entry per BEU (see TimingCore)
+    on_ready = TimingCore.wake_window
+    _wake_store_waiters = TimingCore._wake_window_waiters
+    issue_horizon = TimingCore.window_issue_horizon
+
     def __init__(self, workload: PreparedWorkload, config: MachineConfig) -> None:
         super().__init__(workload, config)
         self.beus: List[BraidExecutionUnit] = [
@@ -115,6 +121,18 @@ class BraidCore(TimingCore):
         self._open_beu: Optional[BraidExecutionUnit] = None
         self._next_beu_hint = 0
         self.distribute_stalls = 0
+        self._issue_due = [0] * len(self.beus)
+        #: issue slots per BEU visit (1 in exception mode: strictly in
+        #: order through BEU 0) and the entries a visit starts by examining
+        #: (only the FIFO head when strict)
+        if config.beu_exception_mode:
+            self._issue_window, self._strict = 1, True
+        else:
+            self._issue_window = config.beu_window
+            self._strict = not config.beu_window_ooo
+        self._examined = (
+            min(self._issue_window, 1) if self._strict else self._issue_window
+        )
         #: per-BEU issue bookkeeping callbacks for the shared issue helpers
         self._issue_notes: List[Callable[[WInst], None]] = [
             self._make_issue_note(beu) for beu in self.beus
@@ -156,6 +174,11 @@ class BraidCore(TimingCore):
         self._open_beu = None
         for beu in self.beus:
             beu.fifo.clear()
+        self._issue_due = [0] * len(self.beus)
+
+    def on_dispatch_stall(self, cause: str, gap: int) -> None:
+        if cause == "accept":
+            self.distribute_stalls += gap  # one per refused accept
 
     def dispatch_block_cause(self) -> str:
         return "structural_fifo"
@@ -199,61 +222,34 @@ class BraidCore(TimingCore):
         return True
 
     # ------------------------------------------------------------------ issue
-    def _window_depth_cap(self) -> int:
-        """Entries examined per BEU FIFO this cycle (1 in strict or
-        exception mode, the configured window otherwise)."""
-        config = self.config
-        if config.beu_exception_mode:
-            return 1
-        window = config.beu_window
-        if not config.beu_window_ooo:
-            return min(window, 1)
-        return window
-
-    def issue_horizon(self, cycle):
-        # Each BEU examines its scheduling window (the FIFO head in strict
-        # or exception mode); the shared head-scan certification applies
-        # verbatim to the examined entries.
-        if self.config.beu_exception_mode:
-            fifo = self.beus[0].fifo
-            return self.head_issue_horizon(
-                cycle, (fifo[0],) if fifo else ()
-            )
-        cap = self._window_depth_cap()
-        return self.head_issue_horizon(
-            cycle,
-            (
-                beu.fifo[i]
-                for beu in self.beus
-                for i in range(min(len(beu.fifo), cap))
-            ),
-        )
-
     def issue_stage(self, cycle: int) -> None:
-        window_size = self.config.beu_window
-        strict = not self.config.beu_window_ooo
-        if self.config.beu_exception_mode:
-            window_size = 1  # strictly in-order during exception handling
-            strict = True
+        due = self._issue_due
+        window_size = self._issue_window
+        strict = self._strict
+        examined = self._examined
+        window_due = self.window_due
         notes = self._issue_notes
         for beu in self.beus:
-            fifo = beu.fifo
-            if not fifo:
+            index = beu.beu_id
+            if due[index] > cycle:
                 continue
-            if strict:
-                self.issue_in_order(
-                    fifo, cycle, beu.fus, window_size,
-                    internal_reads=beu.internal_reads,
-                    internal_writes=beu.internal_writes,
-                    on_issue=notes[beu.beu_id],
-                )
-            else:
-                self.issue_skipahead(
-                    fifo, cycle, min(window_size, len(fifo)), beu.fus,
-                    internal_reads=beu.internal_reads,
-                    internal_writes=beu.internal_writes,
-                    on_issue=notes[beu.beu_id],
-                )
+            fifo = beu.fifo
+            if fifo:
+                if strict:
+                    self.issue_in_order(
+                        fifo, cycle, beu.fus, window_size,
+                        internal_reads=beu.internal_reads,
+                        internal_writes=beu.internal_writes,
+                        on_issue=notes[index],
+                    )
+                else:
+                    self.issue_skipahead(
+                        fifo, cycle, min(window_size, len(fifo)), beu.fus,
+                        internal_reads=beu.internal_reads,
+                        internal_writes=beu.internal_writes,
+                        on_issue=notes[index],
+                    )
+            due[index] = window_due(fifo, examined, cycle)
 
     def core_invariants(self, cycle: int):
         if self._open_beu is not None and self._open_beu not in self.beus:

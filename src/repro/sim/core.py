@@ -14,8 +14,9 @@ where a dispatched instruction waits (:meth:`TimingCore.accept`) and how
 ready instructions are selected for issue (:meth:`TimingCore.issue_stage`)
 — usually by composing the shared head-scan helpers
 (:meth:`TimingCore.issue_in_order`, :meth:`TimingCore.issue_skipahead`,
-:meth:`TimingCore.head_issue_horizon`) rather than re-implementing the
-scan — and declare their cross-layer contract (fault structures and
+:meth:`TimingCore.head_issue_horizon`, the window due table behind
+:meth:`TimingCore.window_due`) rather than re-implementing the scan — and
+declare their cross-layer contract (fault structures and
 injectors, complexity-model terms) as class attributes the registry
 (:mod:`repro.sim.registry`), fault layer, and analyses consume.
 
@@ -359,6 +360,18 @@ class TimingCore:
         #: dispatched-but-unissued instructions whose operands are all ready;
         #: while zero, issue_stage provably cannot act (see _skip_idle)
         self._ready_unissued = 0
+        #: dispatch-stall certificate: the cause of the structural stall
+        #: the last dispatch_stage call broke on (a StallCounters field, or
+        #: "accept" for a refused accept), None otherwise.  While it holds,
+        #: only another stage's event can unblock dispatch, so the event
+        #: kernel skips the stalled cycles and charges them in bulk
+        #: (_charge_dispatch_stall).  Cleared by every dispatch_stage call,
+        #: on _run_until entry, and by fast_forward.
+        self._dispatch_stall: Optional[str] = None
+        #: window due table of the window paradigms (see window_due): per
+        #: issue window, a lower bound on the first cycle its examined
+        #: entries might act.  Empty on cores without one.
+        self._issue_due: List[int] = []
         #: set to a list before run() to record every dispatched WInst in
         #: program order (consumed by repro.sim.pipeview)
         self.trace_log = None
@@ -465,6 +478,9 @@ class TimingCore:
             or self.trace_hook is not None
         ):
             return self._run_until_checked(target_retired, cycle, max_cycles)
+        # State may have changed since the last call (sampling seams,
+        # tests): re-derive the dispatch certificate before trusting it.
+        self._dispatch_stall = None
         start_cycle = cycle
         idle_limit = self.config.max_idle_cycles
         watch_cycle = cycle
@@ -509,13 +525,20 @@ class TimingCore:
             # ready-but-unissued instructions in flight the subclass
             # publisher must certify an issue horizon — but its structure
             # scan is only worth paying once the O(1) guards show nothing
-            # else can act right now.
+            # else can act right now.  A certified structural dispatch stall
+            # does not count as acting: the skipped cycles are charged to
+            # its stall counter in bulk.
             if skip and not pending_writeback:
+                target = cycle
                 if not self._ready_unissued:
-                    cycle = next_event(cycle)
+                    target = next_event(cycle)
                 elif (
                     not (events and events[0][0] <= cycle)
-                    and not (buffer and buffer[0].dispatch_ready <= cycle)
+                    and not (
+                        self._dispatch_stall is None
+                        and buffer
+                        and buffer[0].dispatch_ready <= cycle
+                    )
                     and not (
                         rob
                         and (head := rob[0]).done
@@ -530,7 +553,11 @@ class TimingCore:
                 ):
                     horizon = issue_horizon(cycle)
                     if horizon is None or horizon > cycle:
-                        cycle = next_event(cycle, horizon)
+                        target = next_event(cycle, horizon)
+                if target > cycle:
+                    if self._dispatch_stall is not None:
+                        self._charge_dispatch_stall(target - cycle)
+                    cycle = target
             if (
                 pending_writeback
                 or (events and events[0][0] <= cycle)
@@ -563,12 +590,17 @@ class TimingCore:
         Hooks force single-stepping: this loop never skips a cycle, so an
         attached fault/trace/invariant hook fires on every architectural
         cycle — injections can land anywhere, observers see every stall
-        cycle first-hand, and PR 5's CPI attribution needs no gap
+        cycle first-hand, and the CPI attribution needs no gap
         accounting.  Timing-identical to the fast loop all the same: a
-        cycle the event kernel would skip mutates no state (that is the
-        skip's precondition), so stepping through it one cycle at a time
-        produces the same trajectory, just slower.  Kept as a separate
-        loop so the uninstrumented path pays nothing for the hooks.
+        cycle the event kernel would skip mutates no state beyond the one
+        stall counter of a certified dispatch stall (that is the skip's
+        precondition), and the fast loop charges those counters in bulk
+        for the cycles it skips, so stepping through them one cycle at a
+        time produces the same trajectory and counters, just slower.
+        Kept as a separate loop so the uninstrumented path pays nothing
+        for the hooks.  After each fault-hook call the window due table
+        is invalidated (every window due), the one place an injected
+        flip can reorder issue windows behind its back.
         """
         hook = self.invariant_hook
         start_cycle = cycle
@@ -593,6 +625,10 @@ class TimingCore:
             fault = self.fault_hook
             if fault is not None:
                 fault(self, cycle)
+                # A flip may reorder an issue window behind the window due
+                # table's back: every window is due again.
+                due = self._issue_due
+                due[:] = [0] * len(due)
             self.complete_stage(cycle)
             self.retire_stage(cycle)
             self.issue_stage(cycle)
@@ -688,6 +724,7 @@ class TimingCore:
         self._live.clear()
         self._fetch_blocked = False
         self._fetch_resume = cycle
+        self._dispatch_stall = None  # the gap invalidates the certificate
         self.on_fast_forward()
 
     def on_fast_forward(self) -> None:
@@ -879,6 +916,64 @@ class TimingCore:
                 break
         return issued
 
+    # The window paradigms (braid BEU windows, block windows) keep a
+    # window due table instead of re-scanning every window each cycle:
+    # ``_issue_due[w]`` is a lower bound on the first cycle window ``w``'s
+    # examined entries might act.  Their issue_stage visits only windows
+    # whose due cycle has arrived and recomputes each visited window's
+    # entry with :meth:`window_due`; :meth:`wake_window` (their on_ready)
+    # and :meth:`_wake_window_waiters` (their store-waiter wake) lower it;
+    # a fault-hook call invalidates it wholesale.  The bound holds because
+    # an examined entry becomes eligible only by a readiness wake, by its
+    # ``issue_wake`` arriving (folded in at the last visit), or by moving
+    # into the examined region (only a visit of its own window removes
+    # entries ahead of it).
+
+    def window_due(self, window, depth: int, cycle: int) -> int:
+        """Due cycle of ``window`` after its visit in ``cycle``.
+
+        Over the first ``depth`` entries: ``cycle + 1`` if any is eligible
+        now (not pending, ``issue_wake`` arrived — it failed on a
+        per-cycle resource or the issue budget ran out), else the
+        earliest certified ``issue_wake``, else ``PARKED`` (never: only a
+        wake can make the window due again).
+        """
+        due = PARKED
+        count = len(window)
+        for i in range(depth if depth < count else count):
+            winst = window[i]
+            if winst.pending:
+                continue
+            wake = winst.issue_wake
+            if wake <= cycle:
+                return cycle + 1
+            if wake < due:
+                due = wake
+        return due
+
+    def window_issue_horizon(self, cycle: int) -> Optional[int]:
+        """:meth:`issue_horizon` of a window paradigm: the earliest due
+        window, ``cycle`` once one is due, None while every window waits
+        on a wake."""
+        due = min(self._issue_due)
+        if due <= cycle:
+            return cycle
+        return due if due < PARKED else None
+
+    def wake_window(self, winst: WInst, cycle: int) -> None:
+        """:meth:`on_ready` of a window paradigm: the woken instruction's
+        window (``winst.cluster``) is due now."""
+        self._issue_due[winst.cluster] = cycle
+
+    def _wake_window_waiters(self, waiters: List[WInst], wake: int) -> None:
+        """:meth:`_wake_store_waiters` of a window paradigm: also lower
+        each waiter's window due cycle to the store's wake cycle."""
+        due = self._issue_due
+        for winst in waiters:
+            winst.issue_wake = wake
+            if wake < due[winst.cluster]:
+                due[winst.cluster] = wake
+
     def fifo_invariants(self, label: str, fifo, capacity: int,
                         cluster: Optional[int] = None):
         """Shared per-FIFO invariant checks (for :meth:`core_invariants`):
@@ -950,7 +1045,11 @@ class TimingCore:
         * **fetch** — ``_fetch_resume`` (redirect bubble end) while the
           front end is unblocked with trace and buffer room;
         * **fetch-buffer head** — its ``dispatch_ready`` cycle (front-end
-          pipeline depth plus I-cache refill);
+          pipeline depth plus I-cache refill), unless the dispatch-stall
+          certificate holds: a head blocked by a full structure (ROB,
+          LSQ, register-file entries, checkpoints, or the core's
+          ``accept``) is released only by another stage's event, so it
+          publishes nothing;
         * **ROB head** — ``complete_cycle + 1``, the first retirable cycle,
           once it has completed;
         * **completion events** — the earliest entry of the completion heap
@@ -962,11 +1061,15 @@ class TimingCore:
 
         Callers guarantee no writeback is queued and the issue stage is
         certified idle (``_ready_unissued == 0``, or the horizon is absent
-        or in the future).  A skipped cycle therefore mutates no state and
-        touches no stall counter (port meters roll per cycle and idle
-        cycles claim nothing), so the jump is bit-exact.  Dominant wins:
-        misprediction redirect bubbles, long cache-miss shadows, and
-        dependence chains serialized on multi-cycle producers.  With no
+        or in the future).  A skipped cycle therefore mutates no state
+        (port meters roll per cycle and idle cycles claim nothing) except,
+        under a dispatch-stall certificate, the certified stall counter
+        the blocked dispatch would bump once per cycle; ``_run_until``
+        charges that counter for the whole gap in one step
+        (:meth:`_charge_dispatch_stall`), so the jump is bit-exact.
+        Dominant wins: misprediction redirect bubbles, long cache-miss
+        shadows, dependence chains serialized on multi-cycle producers,
+        and dispatch waiting on a full ROB or issue structure.  With no
         publisher armed the current cycle is returned — a wedged machine
         ticks until the watchdog fires.
         """
@@ -982,7 +1085,7 @@ class TimingCore:
                 return cycle
             if wake is None or self._fetch_resume < wake:
                 wake = self._fetch_resume
-        if self._fetch_buffer:
+        if self._fetch_buffer and self._dispatch_stall is None:
             ready = self._fetch_buffer[0].dispatch_ready
             if ready <= cycle:
                 return cycle
@@ -1006,6 +1109,27 @@ class TimingCore:
             return cycle
         return wake
 
+    def _charge_dispatch_stall(self, gap: int) -> None:
+        """Charge ``gap`` skipped cycles to the certified dispatch stall.
+
+        Each skipped cycle is one the ticked loop spends in a dispatch
+        that breaks on the same structural stall and bumps its counter
+        once; the subclass hook :meth:`on_dispatch_stall` adds the side
+        counters its ``accept`` keeps.
+        """
+        cause = self._dispatch_stall
+        stalls = self.stalls
+        if cause == "accept":
+            stalls.structure_full += gap
+        else:
+            setattr(stalls, cause, getattr(stalls, cause) + gap)
+        self.on_dispatch_stall(cause, gap)
+
+    def on_dispatch_stall(self, cause: str, gap: int) -> None:
+        """Subclass hook: ``gap`` cycles of a dispatch stall certified as
+        ``cause`` were skipped; bump any side counter a refused
+        :meth:`accept` keeps (cause ``"accept"``)."""
+
     def _skip_idle(self, cycle: int) -> int:
         """The one certified-idleness entry point: precondition check plus
         :meth:`_next_event`.
@@ -1015,7 +1139,9 @@ class TimingCore:
         certified next-event cycle.  ``_run_until`` inlines this test in
         its fast loop; every other caller (resume seams, tests, tools
         probing idleness) goes through here rather than re-deriving the
-        horizon contract.
+        horizon contract.  A caller that jumps to the result while a
+        dispatch-stall certificate holds must charge the gap with
+        :meth:`_charge_dispatch_stall`, as ``_run_until`` does.
         """
         if self._pending_writeback:
             return cycle
@@ -1096,12 +1222,16 @@ class TimingCore:
         trace_log = self.trace_log
         has_on_ready = self._has_on_ready
         accept = self.accept
+        # Structural breaks record the dispatch-stall certificate; a
+        # rename-width break does not (the budgets refill next cycle).
+        self._dispatch_stall = None
         while budget > 0 and buffer:
             winst = buffer[0]
             if winst.dispatch_ready > cycle:
                 break
             if len(rob) >= max_in_flight:
                 stalls.in_flight_cap += 1
+                self._dispatch_stall = "in_flight_cap"
                 break
             if winst.ext_src_ops > src_budget or winst.ext_dest_ops > dest_budget:
                 stalls.rename_width += 1
@@ -1112,14 +1242,17 @@ class TimingCore:
                 and rf.in_flight >= rf_entries
             ):
                 stalls.regfile_entries += 1
+                self._dispatch_stall = "regfile_entries"
                 break
             if winst.is_branch and len(checkpoints._stack) >= checkpoint_cap:
                 stalls.checkpoints += 1
+                self._dispatch_stall = "checkpoints"
                 break
             if (winst.is_load or winst.is_store) and (
                 self._mem_in_flight >= lsq_entries
             ):
                 stalls.structure_full += 1
+                self._dispatch_stall = "structure_full"
                 break
 
             seq = winst.seq
@@ -1147,6 +1280,7 @@ class TimingCore:
                 winst.captured = True
             if not accept(winst, cycle):
                 stalls.structure_full += 1
+                self._dispatch_stall = "accept"
                 break
 
             # Commit: producer subscriptions, live-table update, structure
