@@ -56,7 +56,9 @@ from typing import Any, Dict, List, Optional, Tuple
 #: token so exact/sampled/interval runs of one point never collide.
 #: v4: core registry landed (blockooo paradigm, registry-ordered
 #: sweeps), so cached experiment tables can change column sets.
-CACHE_FORMAT_VERSION = 4
+#: v5: DynInst became a slots dataclass pickled as its seven run-time
+#: fields (the branch/load/store flags are re-derived on load).
+CACHE_FORMAT_VERSION = 5
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 _ENV_DISABLE = "REPRO_NO_CACHE"

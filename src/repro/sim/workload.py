@@ -185,18 +185,9 @@ def build_replay(trace: List[DynInst], decoded: List[DecodedInst],
     referenced = bytearray(n)
     #: producer index -> number of scoreboard slots still binding it
     slots: Dict[int, int] = {}
-    #: overwriting index -> producer indices whose last binding it kills
-    dead_at: Dict[int, List[int]] = {}
+    evictions: List[Optional[Tuple[int, ...]]] = [None] * n
     ext_last: Dict[Tuple, int] = {}
     int_last: Dict[Tuple, int] = {}
-
-    def release(producer: int, at: int) -> None:
-        remaining = slots[producer] - 1
-        if remaining:
-            slots[producer] = remaining
-        else:
-            del slots[producer]
-            dead_at.setdefault(at, []).append(producer)
 
     for i in range(n):
         dyn = trace[i]
@@ -221,10 +212,12 @@ def build_replay(trace: List[DynInst], decoded: List[DecodedInst],
         if row:
             deps[i] = tuple(row)
         arch[i] = plain_reads
+        # Bindings instruction ``i`` drops: its start bit clears the
+        # internal table, its writes overwrite their register's binding.
+        released = []
         if facts.start and int_last:
             # Internal values never cross braid boundaries.
-            for producer in int_last.values():
-                release(producer, i)
+            released.extend(int_last.values())
             int_last.clear()
         key = facts.written_key
         if key is not None:
@@ -233,19 +226,28 @@ def build_replay(trace: List[DynInst], decoded: List[DecodedInst],
                 int_last[key] = i
                 slots[i] = slots.get(i, 0) + 1
                 if previous is not None:
-                    release(previous, i)
+                    released.append(previous)
             if facts.dest_external:
                 previous = ext_last.get(key)
                 ext_last[key] = i
                 slots[i] = slots.get(i, 0) + 1
                 if previous is not None:
-                    release(previous, i)
+                    released.append(previous)
+        if released:
+            # A producer dies with its last binding; only referenced ones
+            # are in the live table and need evicting.
+            dying = []
+            for producer in released:
+                remaining = slots[producer] - 1
+                if remaining:
+                    slots[producer] = remaining
+                else:
+                    del slots[producer]
+                    if referenced[producer]:
+                        dying.append(producer)
+            if dying:
+                evictions[i] = tuple(dying)
 
-    evictions: List[Optional[Tuple[int, ...]]] = [None] * n
-    for at, dying in dead_at.items():
-        pruned = tuple(p for p in dying if referenced[p])
-        if pruned:
-            evictions[at] = pruned
     return ReplayFacts(
         deps=deps,
         arch_reads=arch,
@@ -376,34 +378,39 @@ def prepare_workload(
         )
 
     branch_predictor = make_predictor(predictor)
+    predict = branch_predictor.predict
+    update = branch_predictor.update
+    branches = [dyn for dyn in trace if dyn.is_branch]
     for _ in range(max(0, warmup_passes)):
-        for dyn in trace:
-            if dyn.is_branch:
-                branch_predictor.predict(dyn.pc)
-                branch_predictor.update(dyn.pc, bool(dyn.taken))
+        for dyn in branches:
+            predict(dyn.pc)
+            update(dyn.pc, bool(dyn.taken))
 
     previous_line = -1
     line_bytes = hierarchy.config.line_bytes
+    l1i_hit = hierarchy.config.l1i_latency
+    instruction_fetch = hierarchy.instruction_fetch
+    data_access = hierarchy.data_access
 
     for dyn in trace:
-        line = dyn.pc // line_bytes
+        pc = dyn.pc
+        line = pc // line_bytes
         if line != previous_line:
-            latency = hierarchy.instruction_fetch(dyn.pc)
-            extra = latency - hierarchy.config.l1i_latency
+            extra = instruction_fetch(pc) - l1i_hit
             if extra > 0:
                 ifetch_extra[dyn.seq] = extra
             previous_line = line
 
         if dyn.is_branch:
-            prediction = branch_predictor.predict(dyn.pc)
+            prediction = predict(pc)
             actual = bool(dyn.taken)
-            branch_predictor.update(dyn.pc, actual)
+            update(pc, actual)
             if prediction != actual:
                 mispredicted.add(dyn.seq)
         elif dyn.is_load:
-            load_latency[dyn.seq] = hierarchy.data_access(dyn.mem_addr)
+            load_latency[dyn.seq] = data_access(dyn.mem_addr)
         elif dyn.is_store:
-            hierarchy.data_access(dyn.mem_addr)
+            data_access(dyn.mem_addr)
 
     stats.mispredicts = len(mispredicted)
     stats.l1d_miss_rate = hierarchy.l1d.stats.miss_rate

@@ -7,9 +7,11 @@ the Figure 1 potential-performance study.
 
 from __future__ import annotations
 
+from operator import add, mul, sub
 from typing import Protocol
 
-import numpy as np
+#: Saturation bounds of a perceptron weight (an 8-bit signed counter).
+WEIGHT_MIN, WEIGHT_MAX = -128, 127
 
 
 class BranchPredictor(Protocol):
@@ -53,13 +55,13 @@ class BimodalPredictor:
         if entries & (entries - 1):
             raise ValueError("entries must be a power of two")
         self.entries = entries
-        self.counters = np.full(entries, 2, dtype=np.int8)  # weakly taken
+        self.counters = [2] * entries  # weakly taken
 
     def _index(self, pc: int) -> int:
         return (pc >> 3) & (self.entries - 1)
 
     def predict(self, pc: int) -> bool:
-        return bool(self.counters[self._index(pc)] >= 2)
+        return self.counters[self._index(pc)] >= 2
 
     def update(self, pc: int, taken: bool) -> None:
         index = self._index(pc)
@@ -86,9 +88,11 @@ class PerceptronPredictor:
         self.entries = entries
         self.history_bits = history_bits
         self.theta = int(1.93 * history_bits + 14)
-        self.weights = np.zeros((entries, history_bits + 1), dtype=np.int16)
+        #: per perceptron, the bias weight followed by one weight per
+        #: history bit
+        self.weights = [[0] * (history_bits + 1) for _ in range(entries)]
         # history[i] in {-1, +1}; most recent outcome first.
-        self.history = np.ones(history_bits, dtype=np.int16)
+        self.history = [1] * history_bits
         self._last_sum = 0
 
     def _index(self, pc: int) -> int:
@@ -96,20 +100,26 @@ class PerceptronPredictor:
 
     def predict(self, pc: int) -> bool:
         row = self.weights[self._index(pc)]
-        total = int(row[0]) + int(row[1:] @ self.history)
+        total = row[0] + sum(map(mul, row[1:], self.history))
         self._last_sum = total
         return total >= 0
 
     def update(self, pc: int, taken: bool) -> None:
-        row = self.weights[self._index(pc)]
+        history = self.history
         outcome = 1 if taken else -1
         prediction_correct = (self._last_sum >= 0) == taken
         if not prediction_correct or abs(self._last_sum) <= self.theta:
-            row[0] = np.clip(row[0] + outcome, -128, 127)
-            adjusted = row[1:] + outcome * self.history
-            np.clip(adjusted, -128, 127, out=row[1:])
-        self.history[1:] = self.history[:-1]
-        self.history[0] = outcome
+            row = self.weights[self._index(pc)]
+            # history entries are +-1: each weight moves by exactly one,
+            # so only a weight already at a bound can leave the range
+            adjusted = list(map(add if taken else sub, row[1:], history))
+            if max(adjusted) > WEIGHT_MAX or min(adjusted) < WEIGHT_MIN:
+                adjusted = [min(WEIGHT_MAX, max(WEIGHT_MIN, weight))
+                            for weight in adjusted]
+            row[0] = min(WEIGHT_MAX, max(WEIGHT_MIN, row[0] + outcome))
+            row[1:] = adjusted
+        history.pop()
+        history.insert(0, outcome)
 
 
 def make_predictor(kind: str) -> BranchPredictor:

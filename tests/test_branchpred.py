@@ -87,8 +87,8 @@ class TestPerceptron:
         for _ in range(10_000):
             predictor.predict(0x100)
             predictor.update(0x100, True)
-        assert int(predictor.weights.max()) <= 127
-        assert int(predictor.weights.min()) >= -128
+        assert max(max(row) for row in predictor.weights) <= 127
+        assert min(min(row) for row in predictor.weights) >= -128
 
     def test_history_tracks_outcomes(self):
         predictor = PerceptronPredictor()

@@ -184,6 +184,50 @@ class TestRunInjection:
         assert not session.injected
         assert result.cycles == baseline  # checked loop is timing-identical
 
+    def test_rob_payload_flip_replaces_inflight_copy(self, ooo_setup):
+        """The payload injector swaps a ROB entry's ``DynInst`` for a
+        ``dataclasses.replace`` copy with one pc bit flipped; the
+        trace-owned record stays untouched."""
+        import random
+
+        from repro.faults.inject import _inject_rob
+
+        workload, config, _ = ooo_setup
+        modes = ("pointer", "payload", "status", "tag")
+        seed = next(s for s in range(100)
+                    if random.Random(s).choice(modes) == "payload")
+        core = build_core(workload, config)
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def hook(core, cycle):
+            if cycle < 20 or len(core._rob) < 2:
+                return
+            before = [winst.dyn for winst in core._rob]
+            seen["detail"] = _inject_rob(core, random.Random(seed))
+            seen["pairs"] = [(old, winst.dyn)
+                             for old, winst in zip(before, core._rob)
+                             if winst.dyn is not old]
+            raise Stop
+
+        core.fault_hook = hook
+        with pytest.raises(Stop):
+            core.run()
+        assert "payload" in seen["detail"]
+        [(old, new)] = seen["pairs"]
+        assert workload.trace[old.seq] is old
+        flipped = [name for name in ("pc", "next_pc")
+                   if getattr(new, name) != getattr(old, name)]
+        assert len(flipped) == 1
+        delta = getattr(new, flipped[0]) ^ getattr(old, flipped[0])
+        assert delta and delta & (delta - 1) == 0  # exactly one bit
+        assert (new.seq, new.inst, new.taken, new.mem_addr) == (
+            old.seq, old.inst, old.taken, old.mem_addr)
+        assert (new.is_branch, new.is_load, new.is_store) == (
+            old.is_branch, old.is_load, old.is_store)
+
     def test_result_json_roundtrip(self, ooo_setup):
         workload, config, baseline = ooo_setup
         result = run_injection(workload, config, "rob", 4, baseline)

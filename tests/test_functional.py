@@ -13,6 +13,7 @@ from repro.sim.functional import (
     ExecutionError,
     FunctionalExecutor,
     ProgramLayout,
+    apply_instruction,
     execute,
 )
 
@@ -158,8 +159,44 @@ class TestInternalSpace:
         assert state.int_regs[5] == 0
 
     def test_reading_dead_internal_value_raises(self):
-        with pytest.raises(ExecutionError):
+        with pytest.raises(ExecutionError,
+                           match=r"read of dead internal register r2 "):
             execute(self._internal_program(read_before_write=True))
+
+    def test_out_of_range_internal_destination_raises(self):
+        inst = Instruction(
+            opcode=opcode_by_name("addqi"), dest=int_reg(9),
+            srcs=(int_reg(1),), imm=3,
+            annot=BraidAnnotation(braid_id=0, start=True,
+                                  dest_internal=True, dest_external=True),
+        )
+        state = ArchState()
+        with pytest.raises(ExecutionError,
+                           match=r"internal register index r9 out of range"):
+            apply_instruction(state, inst)
+        # Raised before any write: the external copy is not written either.
+        assert state.int_regs[9] == 0
+
+    def test_apply_instruction_compiles_each_instruction_once(
+        self, monkeypatch
+    ):
+        import repro.sim.functional as functional
+
+        compiled = []
+        original = functional.compile_instruction
+
+        def counting(inst):
+            compiled.append(inst)
+            return original(inst)
+
+        monkeypatch.setattr(functional, "compile_instruction", counting)
+        inst = Instruction(opcode=opcode_by_name("addqi"), dest=int_reg(1),
+                           srcs=(int_reg(1),), imm=1)
+        state = ArchState()
+        for _ in range(3):
+            apply_instruction(state, inst)
+        assert state.int_regs[1] == 3
+        assert compiled == [inst]
 
     def test_strict_internal_can_be_disabled(self):
         program = self._internal_program(read_before_write=True)

@@ -61,3 +61,26 @@ class TestVersion:
         import repro
 
         assert repro.__version__.count(".") == 2
+
+
+class TestDependencies:
+    def test_experiments_and_service_import_without_numpy(self):
+        """The package declares no runtime dependencies; importing the
+        harness and the service must not pull NumPy in."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (
+            str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        ).rstrip(os.pathsep)
+        code = (
+            "import sys, repro.harness.experiments, repro.service\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

@@ -85,6 +85,48 @@ class TestSerialization:
         assert clone.ifetch_extra == workload.ifetch_extra
         assert [d.seq for d in clone.trace] == [d.seq for d in workload.trace]
 
+    def test_pickle_round_trip_preserves_every_dyninst_field(self, gcc):
+        workload = prepare_workload(gcc, max_instructions=5_000)
+        clone = pickle.loads(pickle.dumps(workload))
+        for ours, theirs in zip(workload.trace, clone.trace):
+            assert (theirs.seq, theirs.block, theirs.pc, theirs.taken,
+                    theirs.next_pc, theirs.mem_addr) == (
+                ours.seq, ours.block, ours.pc, ours.taken,
+                ours.next_pc, ours.mem_addr)
+            assert theirs.inst.render() == ours.inst.render()
+            assert theirs.inst.annot == ours.inst.annot
+            # The flags are not in the pickle: they are re-derived.
+            assert (theirs.is_branch, theirs.is_load, theirs.is_store) == (
+                ours.is_branch, ours.is_load, ours.is_store)
+            assert (theirs.is_branch, theirs.is_load, theirs.is_store) == (
+                theirs.inst.is_branch, theirs.inst.is_load,
+                theirs.inst.is_store)
+        kinds = {(d.is_branch, d.is_load, d.is_store) for d in clone.trace}
+        assert {(True, False, False), (False, True, False),
+                (False, False, True)} <= kinds
+
+    def test_dyninst_pickle_state_omits_derived_flags(self, gcc):
+        workload = prepare_workload(gcc, max_instructions=500)
+        branch = next(d for d in workload.trace if d.is_branch)
+        state = branch.__getstate__()
+        assert state == (branch.seq, branch.inst, branch.block, branch.pc,
+                         branch.taken, branch.next_pc, branch.mem_addr)
+        assert b"is_branch" not in pickle.dumps(branch)
+
+    def test_dataclass_replace_keeps_flags(self, gcc):
+        """Fault injection rewrites in-flight payloads with
+        ``dataclasses.replace``; the copy keeps every other field."""
+        import dataclasses
+
+        workload = prepare_workload(gcc, max_instructions=500)
+        load = next(d for d in workload.trace if d.is_load)
+        moved = dataclasses.replace(load, pc=load.pc ^ 0x40)
+        assert moved.pc == load.pc ^ 0x40 and moved is not load
+        assert moved.is_load and not moved.is_branch and not moved.is_store
+        assert (moved.seq, moved.inst, moved.mem_addr) == (
+            load.seq, load.inst, load.mem_addr)
+        assert workload.trace[load.seq] is load
+
     def test_pickle_round_trip_preserves_decode(self, gcc):
         workload = prepare_workload(gcc, max_instructions=5_000)
         workload.decode()
