@@ -314,12 +314,15 @@ class ExperimentContext:
         one prepared workload run together (see :mod:`repro.sim.batch`),
         so the shared decode/replay facts are built once per workload —
         per worker — instead of once per point.  With ``jobs > 1`` the
-        workload groups fan out over the process pool (deterministic,
-        submission-ordered results; large groups split to keep every
-        worker busy); with ``jobs = 1`` they run serially in-process,
-        exactly like :meth:`run`.  The requested worker count is clamped
-        to the pending work and falls back to the serial path on
-        single-CPU hosts (see :func:`~repro.harness.parallel.effective_jobs`).
+        workload groups fan out over the hardened worker fleet
+        (:func:`~repro.harness.parallel.run_point_groups_parallel`:
+        deterministic, submission-ordered results; a dead worker's group
+        is retried, a failing group raises; large groups split to keep
+        every worker busy); with ``jobs = 1`` they run serially
+        in-process, exactly like :meth:`run`.  The requested worker count
+        is clamped to the pending work and falls back to the serial path
+        on single-CPU hosts (see
+        :func:`~repro.harness.parallel.effective_jobs`).
         """
         fresh: List[SweepPoint] = []
         seen = set()
@@ -347,7 +350,7 @@ class ExperimentContext:
             groups.setdefault(key, []).append(point)
         tasks: List[List[SweepPoint]] = list(groups.values())
         workers = effective_jobs(self.jobs, len(fresh))
-        # Few workloads but many configs would idle most of the pool at
+        # Few workloads but many configs would idle most workers at
         # group granularity; split the largest groups (still workload-
         # major within each task) until every worker has work.
         while tasks and len(tasks) < workers:

@@ -1,32 +1,26 @@
-"""Parallel sweep engine: fan sweep points out over a process pool.
+"""One worker engine: sweeps, fault campaigns and the service share it.
 
 The timing cores are pure Python, so threads cannot scale them; this module
-uses worker processes instead.  Each worker holds one long-lived
-:class:`~repro.harness.context.ExperimentContext`, so phase-one artifacts
-(programs, braid compilations, prepared workloads) are materialized at most
-once per worker — and usually not even that, because the parent pre-warms
-phase one before the pool starts:
+uses worker processes instead, and runs them one way only:
+:func:`run_tasks_hardened` — dedicated forked workers with a per-task
+wall-clock watchdog, classified retry with backoff
+(:class:`~repro.service.retry.RetryPolicy`), quarantine of tasks that keep
+failing, and result delivery through an atomic-rename inbox that a dying
+worker cannot wedge.  Its callers are harness sweeps, fault-injection
+campaigns (:mod:`repro.faults`) and the job service.
 
-* on fork platforms the workers inherit the parent's warm context
-  copy-on-write and pay nothing;
-* on spawn platforms (or when a worker sees a benchmark the parent did not
-  warm) the worker reads the persistent artifact cache and pays one
-  unpickle.
-
-Results come back in submission order, so a parallel sweep is
-deterministically equal to the serial one (``jobs=1`` bypasses the pool
-entirely — tests and debugging see the plain in-process path).  A worker
-that dies mid-task (OOM kill, segfault, interpreter abort) no longer loses
-the whole sweep: completed results are kept, the in-flight task is logged,
-and the unfinished points are re-run serially in the parent
-(:func:`_collect_resilient`).
-
-For workloads that are *expected* to wedge or kill their workers —
-fault-injection campaigns (:mod:`repro.faults`) — :func:`run_tasks_hardened`
-provides a separate, sturdier dispatch path: dedicated worker processes
-with per-task wall-clock deadlines and watchdog kill, bounded
-retry-with-backoff for infrastructure failures, and quarantine (not abort)
-of tasks that keep destroying their workers.
+A sweep (:func:`run_point_groups_parallel`) warms phase one in the parent
+before any worker forks, so every worker — a respawned one too — inherits
+the warm context (programs, braid compilations, prepared workloads)
+copy-on-write and pays nothing for phase one.  Results come back in
+submission order, so a parallel sweep is deterministically equal to the
+serial one (``jobs=1`` bypasses the workers entirely — tests and debugging
+see the plain in-process path).  A worker that dies mid-task (OOM kill,
+segfault, interpreter abort) has its group retried on a fresh worker; a
+group that still fails, or raises, fails the sweep loudly, naming the task.
+Sweeps have no wall-clock deadline: a bench-scale group may legitimately
+run for minutes, and the simulator's own watchdog
+(:class:`~repro.sim.core.SimulationHang`) bounds a wedged cell.
 
 Knobs: ``REPRO_JOBS`` / ``--jobs`` on ``python -m repro.harness``; the
 default is ``os.cpu_count()``.
@@ -34,6 +28,7 @@ default is ``os.cpu_count()``.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import pickle
@@ -41,8 +36,6 @@ import queue as queue_module
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -122,69 +115,9 @@ def effective_jobs(jobs: int, pending: int) -> int:
     return capped
 
 
-#: Worker-side context; under fork this aliases the parent's warm context.
-_WORKER_CONTEXT = None
-#: Set by run_points_parallel just before the pool forks.
-_PARENT_CONTEXT = None
-
-
-def _init_worker(spec: Tuple) -> None:
-    global _WORKER_CONTEXT
-    if _PARENT_CONTEXT is not None:
-        # Fork start method: reuse the parent's context (and its warm
-        # program/compilation/workload caches) copy-on-write.
-        _WORKER_CONTEXT = _PARENT_CONTEXT
-        return
-    from ..sim.interval import IntervalConfig
-    from ..sim.sampling import SamplingConfig
-    from .artifacts import ArtifactCache
-    from .context import ExperimentContext
-
-    (
-        benchmarks,
-        scale,
-        max_instructions,
-        cache_root,
-        cache_enabled,
-        sampling_spec,
-        result_cache,
-        fidelity,
-        interval_spec,
-    ) = spec
-    _WORKER_CONTEXT = ExperimentContext(
-        benchmarks=benchmarks,
-        scale=scale,
-        max_instructions=max_instructions,
-        jobs=1,
-        cache=ArtifactCache(root=cache_root, enabled=cache_enabled),
-        result_cache=result_cache,
-    )
-    # Assign directly: the constructor treats None as "consult the
-    # environment" for sampling and fidelity, but the worker must mirror
-    # the parent's *resolved* modes even when the parent overrode them.
-    _WORKER_CONTEXT.sampling = (
-        SamplingConfig.parse(sampling_spec) if sampling_spec else None
-    )
-    _WORKER_CONTEXT.fidelity = fidelity
-    _WORKER_CONTEXT.interval = (
-        IntervalConfig.parse(interval_spec) if interval_spec
-        else IntervalConfig()
-    )
-
-
-def _context_spec(context) -> Tuple:
-    """The picklable context identity shipped to spawn-start workers."""
-    return (
-        context.benchmarks,
-        context.scale,
-        context.max_instructions,
-        str(context.cache.root),
-        context.cache.enabled,
-        context.sampling.spec() if context.sampling is not None else None,
-        context.result_cache,
-        context.fidelity,
-        context.interval.spec() if context.interval is not None else None,
-    )
+#: The sweep's warm context while a sweep runs; the hardened workers fork
+#: after it is set, so each one inherits it (and its caches) copy-on-write.
+_SWEEP_CONTEXT = None
 
 
 def _run_group(points: Tuple[SweepPoint, ...]) -> List[SimResult]:
@@ -198,7 +131,7 @@ def _run_group(points: Tuple[SweepPoint, ...]) -> List[SimResult]:
     # facts the first one built.
     return maybe_profiled(
         lambda: [
-            _WORKER_CONTEXT.run(
+            _SWEEP_CONTEXT.run(
                 point.benchmark,
                 point.config,
                 braided=point.braided,
@@ -210,79 +143,26 @@ def _run_group(points: Tuple[SweepPoint, ...]) -> List[SimResult]:
     )
 
 
-def _run_point_serial(context, point: SweepPoint) -> SimResult:
-    """One sweep point on the caller's own context (no worker pool)."""
-    return context.run(
-        point.benchmark,
-        point.config,
-        braided=point.braided,
-        perfect=point.perfect,
-        internal_limit=point.internal_limit,
-    )
-
-
-def _collect_resilient(
-    futures: Sequence,
-    labels: Sequence[str],
-    serial_fn: Callable[[int], Any],
-) -> List[Any]:
-    """Gather future results, surviving worker deaths.
-
-    A worker that dies mid-task (OOM kill, segfault) breaks the whole
-    executor: every unfinished future raises :class:`BrokenProcessPool`.
-    Instead of surfacing that as a bare exception and losing all completed
-    work, keep every result that finished, log which task was in flight
-    when the pool broke, and recompute the unfinished tasks through
-    ``serial_fn(index)`` in the calling process.
-    """
-    results: List[Any] = [None] * len(futures)
-    unfinished: List[int] = []
-    broken: Optional[str] = None
-    for index, future in enumerate(futures):
-        if broken is None:
-            try:
-                results[index] = future.result()
-                continue
-            except BrokenProcessPool:
-                broken = labels[index]
-        # Pool already broken: cancel/skim without blocking.  Futures that
-        # finished before the break still hold their results.
-        if future.done() and not future.cancelled():
-            error = future.exception()
-            if error is None:
-                results[index] = future.result()
-                continue
-        unfinished.append(index)
-    if broken is not None:
-        _note_once(
-            f"a worker process died while running {broken!r}; keeping "
-            f"{len(futures) - len(unfinished)} completed result(s) and "
-            f"re-running {len(unfinished)} unfinished task(s) serially"
-        )
-        for index in unfinished:
-            results[index] = serial_fn(index)
-    return results
-
-
 def run_point_groups_parallel(
     context, groups: Sequence[Sequence[SweepPoint]], jobs: int
 ) -> List[List[SimResult]]:
     """Simulate point groups on ``jobs`` workers; results in submission order.
 
-    Each group is one pool task (one worker runs its points back to
+    Each group is one hardened task (one worker runs its points back to
     back), so callers that group workload-major —
     :meth:`ExperimentContext.run_many` — amortize the shared
     decode/replay facts across every config of a workload.  Results come
-    back as one list per group, aligned with the request.
+    back as one list per group, aligned with the request.  A group whose
+    worker dies is retried on a fresh worker; a group that cannot produce
+    a result raises :class:`RuntimeError` naming its task id and error.
     """
-    global _PARENT_CONTEXT
+    global _SWEEP_CONTEXT
     groups = [list(group) for group in groups]
     if not groups:
         return []
-    jobs = min(jobs, len(groups))
 
-    # Warm phase one in the parent so forked workers share it copy-on-write
-    # and the persistent cache covers spawn-start platforms.
+    # Warm phase one in the parent so the forked workers share it
+    # copy-on-write.
     for key in {
         (p.benchmark, p.braided, p.perfect, p.internal_limit)
         for group in groups
@@ -296,69 +176,29 @@ def run_point_groups_parallel(
             internal_limit=internal_limit,
         )
 
-    spec = _context_spec(context)
-
-    def _serial_group(group: Sequence[SweepPoint]) -> List[SimResult]:
-        return [_run_point_serial(context, point) for point in group]
-
-    def _label(group: Sequence[SweepPoint]) -> str:
-        first = group[0]
-        label = f"{first.benchmark} on {first.config.name}"
-        if len(group) > 1:
-            label += f" (+{len(group) - 1} more)"
-        return label
-
+    tasks = [
+        (f"{index}:{group[0].benchmark} on {group[0].config.name}",
+         tuple(group))
+        for index, group in enumerate(groups)
+    ]
+    _SWEEP_CONTEXT = context
     try:
-        mp_context = multiprocessing.get_context("fork")
-    except ValueError:
-        # Spawn-only platforms (Windows, some macOS configs) would re-import
-        # every worker from scratch and re-unpickle phase one per process;
-        # with the warm in-process context already holding the artifacts,
-        # serial execution is both simpler and usually faster.  Never
-        # degrade silently (mirrors the 1-CPU clamp in effective_jobs).
-        _note_once(
-            "fork start method unavailable on this platform: running "
-            "sweep points serially in-process"
+        outcomes = run_tasks_hardened(
+            _run_group, tasks, jobs=jobs,
+            policy=RetryPolicy(deadline=math.inf),
         )
-        return [_serial_group(group) for group in groups]
-
-    _PARENT_CONTEXT = context
-    try:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=mp_context,
-            initializer=_init_worker,
-            initargs=(spec,),
-        ) as pool:
-            futures = [
-                pool.submit(_run_group, tuple(group)) for group in groups
-            ]
-            results = _collect_resilient(
-                futures,
-                labels=[_label(group) for group in groups],
-                serial_fn=lambda index: _serial_group(groups[index]),
-            )
     finally:
-        _PARENT_CONTEXT = None
-    return results
-
-
-def run_points_parallel(
-    context, points: Sequence[SweepPoint], jobs: int
-) -> List[SimResult]:
-    """Simulate ``points`` on ``jobs`` workers; results in submission order.
-
-    One task per point — the pre-batching dispatch shape, kept for
-    callers that schedule their own grouping.
-    """
-    groups = run_point_groups_parallel(
-        context, [(point,) for point in points], jobs
-    )
-    return [group[0] for group in groups]
+        _SWEEP_CONTEXT = None
+    for outcome in outcomes:
+        if not outcome.ok:
+            raise RuntimeError(
+                f"sweep task {outcome.task_id!r} failed: {outcome.error}"
+            )
+    return [outcome.result for outcome in outcomes]
 
 
 # --------------------------------------------------------------------------
-# Hardened task dispatch (fault-injection campaigns)
+# Hardened task dispatch (sweeps, fault campaigns, the service)
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -641,8 +481,11 @@ def run_tasks_hardened(
     """Run ``fn`` over ``tasks`` on workers that are allowed to die.
 
     ``tasks`` is a sequence of ``(task_id, payload)``; outcomes come back
-    in task order.  Guarantees the campaign runner and the service
-    supervisor need:
+    in task order.  Its callers are harness sweeps
+    (:func:`run_point_groups_parallel`, which passes an infinite
+    ``policy.deadline``: sweeps run with no wall-clock deadline), the
+    fault-campaign runner and the service supervisor.  Guarantees they
+    need:
 
     * **watchdog kill** — a task that exceeds the policy deadline of wall
       clock gets its worker killed and respawned;

@@ -1,11 +1,12 @@
-"""Hardened task dispatch and worker-death resilience (repro.harness.parallel).
+"""The one worker engine (repro.harness.parallel) under failure.
 
 Fault-injection campaigns run tasks that are *expected* to wedge or kill
 their workers; these tests drive ``run_tasks_hardened`` through every
 failure mode it guarantees against — worker death, wall-clock timeouts,
-exceptions escaping the task function — plus the sweep-side
-``_collect_resilient`` guarantee that a dead pool worker never loses
-completed results.
+exceptions escaping the task function.  Sweeps run on the same engine:
+``run_point_groups_parallel`` must survive a dead worker with results
+equal to the serial path, and fail loudly, naming the task, when a group
+raises.
 """
 
 from __future__ import annotations
@@ -13,15 +14,19 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.harness import parallel
+from repro.harness.artifacts import ArtifactCache
+from repro.harness.context import ExperimentContext
 from repro.harness.parallel import (
     TaskOutcome,
-    _collect_resilient,
+    run_point_groups_parallel,
     run_tasks_hardened,
 )
+from repro.harness.sweep import SweepPoint
+from repro.sim import inorder_config, ooo_config
 
 
 def _has_fork() -> bool:
@@ -34,6 +39,12 @@ def _has_fork() -> bool:
 
 needs_fork = pytest.mark.skipif(
     not _has_fork(), reason="requires the fork start method"
+)
+# With one CPU the engine runs tasks in-process, where a task that kills
+# its worker would kill the test runner instead.
+needs_workers = pytest.mark.skipif(
+    not _has_fork() or (os.cpu_count() or 1) < 2,
+    reason="requires the fork start method and two CPUs",
 )
 
 
@@ -68,12 +79,6 @@ def _die_first_attempt(payload):
 
 def _sleep_forever(payload):
     time.sleep(600)
-
-
-def _crash_pool_worker(payload):
-    if payload == "die":
-        os._exit(7)
-    return payload.upper()
 
 
 class TestSerialPath:
@@ -199,35 +204,65 @@ class TestHardenedWorkers:
         assert sorted(o.task_id for o in settled) == ["a", "b", "c"]
 
 
-@needs_fork
-class TestCollectResilient:
-    def test_pool_break_keeps_finished_results(self):
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
-            futures = [
-                pool.submit(_crash_pool_worker, payload)
-                for payload in ("first", "die", "last")
-            ]
-            results = _collect_resilient(
-                futures,
-                labels=["first", "die", "last"],
-                serial_fn=lambda index: ("first", "die", "last")[
-                    index
-                ].upper(),
-            )
-        # The completed result survives; the in-flight and queued tasks
-        # are recomputed serially in the parent.
-        assert results == ["FIRST", "DIE", "LAST"]
+@needs_workers
+class TestSweepOnHardenedWorkers:
+    """run_point_groups_parallel on forked workers; ``_run_group`` is
+    patched before the call, so the workers fork with the patch."""
 
-    def test_clean_pool_passes_through(self):
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as pool:
-            futures = [
-                pool.submit(_crash_pool_worker, payload)
-                for payload in ("a", "b")
-            ]
-            results = _collect_resilient(
-                futures, labels=["a", "b"],
-                serial_fn=lambda index: pytest.fail("no rerun expected"),
-            )
-        assert results == ["A", "B"]
+    @staticmethod
+    def _context():
+        return ExperimentContext(
+            benchmarks=("gcc",), max_instructions=20_000, jobs=2,
+            cache=ArtifactCache(enabled=False),
+        )
+
+    GROUPS = [
+        [SweepPoint("gcc", ooo_config(8))],
+        [SweepPoint("gcc", inorder_config(8))],
+    ]
+
+    def test_dead_worker_is_retried_with_serial_results(
+        self, monkeypatch, capsys
+    ):
+        real_run_group = parallel._run_group
+
+        def die_on_first_inorder_attempt(points):
+            if (
+                points[0].config.name == inorder_config(8).name
+                and os.environ.get("REPRO_TASK_ATTEMPT") == "1"
+            ):
+                os._exit(17)
+            return real_run_group(points)
+
+        monkeypatch.setattr(
+            parallel, "_run_group", die_on_first_inorder_attempt
+        )
+        monkeypatch.setattr(parallel, "_NOTED", set())
+        context = self._context()
+        results = run_point_groups_parallel(context, self.GROUPS, jobs=2)
+        note = capsys.readouterr().err
+        assert f"1:gcc on {inorder_config(8).name}" in note
+        assert "worker died mid-task" in note
+        assert [[r.cycles for r in group] for group in results] == [
+            [context.run("gcc", ooo_config(8)).cycles],
+            [context.run("gcc", inorder_config(8)).cycles],
+        ]
+        assert parallel._SWEEP_CONTEXT is None
+
+    def test_task_error_fails_the_sweep_after_one_attempt(
+        self, monkeypatch
+    ):
+        real_run_group = parallel._run_group
+
+        def raise_on_inorder(points):
+            if points[0].config.name == inorder_config(8).name:
+                raise ValueError("bad sweep cell")
+            return real_run_group(points)
+
+        monkeypatch.setattr(parallel, "_run_group", raise_on_inorder)
+        with pytest.raises(RuntimeError) as raised:
+            run_point_groups_parallel(self._context(), self.GROUPS, jobs=2)
+        message = str(raised.value)
+        assert f"1:gcc on {inorder_config(8).name}" in message
+        assert "attempt 1: ValueError: bad sweep cell" in message
+        assert parallel._SWEEP_CONTEXT is None
